@@ -92,7 +92,7 @@ class WarmStrategyTracker:
         obs = get_session()
         grid = ScenarioGrid.from_product(self.scenario, exponent=[exponent])
         if self._prev is None:
-            batch = solve_batch(grid, warm_start=False, check_conditions=False)
+            batch = solve_batch(grid, check_conditions=False)
             self.cold_solves += 1
             if obs.enabled:
                 obs.counter("adaptive.tracker.cold_solves").add()

@@ -10,7 +10,7 @@ rows/series; EXPERIMENTS.md records paper-vs-measured values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from ..catalog.popularity import ZipfModel
 from ..catalog.workload import IRMWorkload, SequenceWorkload
@@ -239,302 +239,170 @@ def table4_settings() -> TableData:
 
 
 # ---------------------------------------------------------------------------
-# Optimal strategy figures (4-7)
+# Sweep figures (4-13)
 # ---------------------------------------------------------------------------
 
 
-def figure4_level_vs_alpha(
-    *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+#: Per y-quantity: (title prefix, y label) — ``ℓ*`` of eq. 5, ``G_O`` of
+#: §IV-E.1, ``G_R`` of §IV-E.2.
+_QUANTITY_AXES = {
+    "level": ("Optimal strategy", "optimal coordination level l*"),
+    "origin_gain": ("Origin load reduction", "origin load reduction G_O"),
+    "routing_gain": ("Routing improvement", "routing improvement G_R"),
+}
+
+#: Per swept scenario field: (title suffix, x label, curve field).  The
+#: α sweeps draw one curve per γ, every other sweep one curve per α.
+_X_AXES = {
+    "alpha": ("trade-off parameter", "alpha", "gamma"),
+    "exponent": ("Zipf exponent", "s", "alpha"),
+    "n_routers": ("network size", "n", "alpha"),
+    "unit_cost": ("unit coordination cost", "w (ms)", "alpha"),
+}
+
+#: Figures 4–13 by paper figure number: (y quantity, swept field).
+_FIGURE_SPECS = {
+    "4": ("level", "alpha"),
+    "5": ("level", "exponent"),
+    "6": ("level", "n_routers"),
+    "7": ("level", "unit_cost"),
+    "8": ("origin_gain", "alpha"),
+    "9": ("origin_gain", "exponent"),
+    "10": ("origin_gain", "n_routers"),
+    "11": ("origin_gain", "unit_cost"),
+    "12": ("routing_gain", "alpha"),
+    "13": ("routing_gain", "exponent"),
+}
+
+
+def _sweep_figure(
+    figure_id: str,
+    x_values: Sequence[float],
+    curve_values: Sequence[float],
+    solver: str,
 ) -> FigureData:
-    """Figure 4: optimal level ℓ* versus trade-off weight α, per γ."""
+    """Build one of Figures 4–13 from its spec: one sweep, one FigureData."""
+    quantity, x_field = _FIGURE_SPECS[figure_id]
+    title, ylabel = _QUANTITY_AXES[quantity]
+    x_title, xlabel, curve_field = _X_AXES[x_field]
     series = sweep(
         BASE_SCENARIO,
-        x_field="alpha",
-        x_values=alphas,
-        quantity="level",
-        curve_field="gamma",
-        curve_values=gammas,
-        curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
+        x_field=x_field,
+        x_values=x_values,
+        quantity=quantity,
+        curve_field=curve_field,
+        curve_values=curve_values,
+        curve_label=lambda v: f"{curve_field}={v:g}",
         solver=solver,
     )
     return FigureData(
-        figure_id="4",
-        title="Optimal strategy vs trade-off parameter",
-        xlabel="alpha",
-        ylabel="optimal coordination level l*",
+        figure_id=figure_id,
+        title=f"{title} vs {x_title}",
+        xlabel=xlabel,
+        ylabel=ylabel,
         series=series,
         parameters={"scenario": BASE_SCENARIO},
     )
+
+
+def figure4_level_vs_alpha(
+    *,
+    alphas: Sequence[float] = ALPHA_GRID,
+    gammas: Sequence[float] = FIGURE_GAMMAS,
+    solver: str = "exact",
+) -> FigureData:
+    """Figure 4: optimal level ℓ* versus trade-off weight α, per γ."""
+    return _sweep_figure("4", alphas, gammas, solver)
 
 
 def figure5_level_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 5: optimal level ℓ* versus Zipf exponent s, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="exponent",
-        x_values=exponents,
-        quantity="level",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="5",
-        title="Optimal strategy vs Zipf exponent",
-        xlabel="s",
-        ylabel="optimal coordination level l*",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("5", exponents, alphas, solver)
 
 
 def figure6_level_vs_routers(
     *,
     router_counts: Sequence[int] = ROUTER_COUNT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 6: optimal level ℓ* versus network size n, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="n_routers",
-        x_values=router_counts,
-        quantity="level",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="6",
-        title="Optimal strategy vs network size",
-        xlabel="n",
-        ylabel="optimal coordination level l*",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("6", router_counts, alphas, solver)
 
 
 def figure7_level_vs_unit_cost(
     *,
     unit_costs: Sequence[float] = UNIT_COST_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 7: optimal level ℓ* versus unit coordination cost w, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="unit_cost",
-        x_values=unit_costs,
-        quantity="level",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="7",
-        title="Optimal strategy vs unit coordination cost",
-        xlabel="w (ms)",
-        ylabel="optimal coordination level l*",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Origin load reduction figures (8-11)
-# ---------------------------------------------------------------------------
+    return _sweep_figure("7", unit_costs, alphas, solver)
 
 
 def figure8_origin_gain_vs_alpha(
-    *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    *,
+    alphas: Sequence[float] = ALPHA_GRID,
+    gammas: Sequence[float] = FIGURE_GAMMAS,
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 8: origin load reduction G_O versus α, per γ."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="alpha",
-        x_values=alphas,
-        quantity="origin_gain",
-        curve_field="gamma",
-        curve_values=gammas,
-        curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="8",
-        title="Origin load reduction vs trade-off parameter",
-        xlabel="alpha",
-        ylabel="origin load reduction G_O",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("8", alphas, gammas, solver)
 
 
 def figure9_origin_gain_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 9: origin load reduction G_O versus Zipf exponent s, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="exponent",
-        x_values=exponents,
-        quantity="origin_gain",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="9",
-        title="Origin load reduction vs Zipf exponent",
-        xlabel="s",
-        ylabel="origin load reduction G_O",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("9", exponents, alphas, solver)
 
 
 def figure10_origin_gain_vs_routers(
     *,
     router_counts: Sequence[int] = ROUTER_COUNT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 10: origin load reduction G_O versus network size n, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="n_routers",
-        x_values=router_counts,
-        quantity="origin_gain",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="10",
-        title="Origin load reduction vs network size",
-        xlabel="n",
-        ylabel="origin load reduction G_O",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("10", router_counts, alphas, solver)
 
 
 def figure11_origin_gain_vs_unit_cost(
     *,
     unit_costs: Sequence[float] = UNIT_COST_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 11: origin load reduction G_O versus unit cost w, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="unit_cost",
-        x_values=unit_costs,
-        quantity="origin_gain",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="11",
-        title="Origin load reduction vs unit coordination cost",
-        xlabel="w (ms)",
-        ylabel="origin load reduction G_O",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Routing improvement figures (12-13)
-# ---------------------------------------------------------------------------
+    return _sweep_figure("11", unit_costs, alphas, solver)
 
 
 def figure12_routing_gain_vs_alpha(
-    *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    *,
+    alphas: Sequence[float] = ALPHA_GRID,
+    gammas: Sequence[float] = FIGURE_GAMMAS,
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 12: routing performance improvement G_R versus α, per γ."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="alpha",
-        x_values=alphas,
-        quantity="routing_gain",
-        curve_field="gamma",
-        curve_values=gammas,
-        curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="12",
-        title="Routing improvement vs trade-off parameter",
-        xlabel="alpha",
-        ylabel="routing improvement G_R",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("12", alphas, gammas, solver)
 
 
 def figure13_routing_gain_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "exact",
 ) -> FigureData:
     """Figure 13: routing performance improvement G_R versus s, per α."""
-    series = sweep(
-        BASE_SCENARIO,
-        x_field="exponent",
-        x_values=exponents,
-        quantity="routing_gain",
-        curve_field="alpha",
-        curve_values=alphas,
-        curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
-        solver=solver,
-    )
-    return FigureData(
-        figure_id="13",
-        title="Routing improvement vs Zipf exponent",
-        xlabel="s",
-        ylabel="routing improvement G_R",
-        series=series,
-        parameters={"scenario": BASE_SCENARIO},
-    )
+    return _sweep_figure("13", exponents, alphas, solver)
 
 
 # ---------------------------------------------------------------------------

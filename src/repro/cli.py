@@ -39,15 +39,15 @@ from .core.scenario import Scenario
 __all__ = ["main", "build_parser"]
 
 
-def _parallel_workers(value: str):
-    """``--parallel`` argument: an integer worker count or ``auto``."""
+def _shard_count(value: str):
+    """``--shards`` argument: an integer worker count or ``auto``."""
     if value == "auto":
         return value
     try:
         return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer worker count or 'auto', got {value!r}"
+            f"expected an integer shard count or 'auto', got {value!r}"
         ) from None
 
 
@@ -82,28 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the result to a file instead of stdout",
     )
     run.add_argument(
-        "--parallel",
-        type=_parallel_workers,
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="N",
-        help=(
-            "solve sweep grid points across N worker processes; a bare "
-            "--parallel means 'auto' (pool sized to the grid, serial for "
-            "small grids); figure experiments only, output is identical "
-            "to serial"
-        ),
-    )
-    run.add_argument(
         "--solver",
-        choices=("auto", "scalar", "batched", "approx"),
-        default="auto",
+        choices=("exact", "approx"),
+        default="exact",
         help=(
             "model backing sweep figures: the closed analytical form "
-            "('auto' picks scalar vs batched) or the Che/TTL "
-            "approximation of LRU dynamics ('approx'); figure "
-            "experiments only"
+            "('exact') or the Che/TTL approximation of LRU dynamics "
+            "('approx'); figure experiments only"
         ),
     )
     run.add_argument(
@@ -186,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--metric", choices=("hops", "latency"), default="hops")
     scale.add_argument(
         "--shards",
-        type=_parallel_workers,
+        type=_shard_count,
         default="auto",
         metavar="N",
         help=(
-            "worker processes for the region shards: an integer or "
-            "'auto' (available CPUs, capped at the region count); "
-            "results are identical for every value"
+            "worker processes for the region shards: an integer (0 runs "
+            "serially in-process) or 'auto' (available CPUs, capped at "
+            "the region count); results are identical for every value"
         ),
     )
     scale.add_argument(
@@ -426,19 +411,13 @@ def _emit(result: object, args: argparse.Namespace, out) -> None:
 def _experiment_kwargs(fn, args: argparse.Namespace) -> dict:
     """Keyword arguments an experiment accepts from the command line.
 
-    Only sweep-based figures take ``parallel=``/``solver=``; passing
-    them to the table experiments would fail, so consult each
-    signature.
+    Only sweep-based figures take ``solver=``; passing it to the table
+    experiments would fail, so consult each signature.
     """
-    kwargs = {}
-    parameters = inspect.signature(fn).parameters
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None and "parallel" in parameters:
-        kwargs["parallel"] = parallel
-    solver = getattr(args, "solver", "auto")
-    if solver != "auto" and "solver" in parameters:
-        kwargs["solver"] = solver
-    return kwargs
+    solver = getattr(args, "solver", "exact")
+    if solver != "exact" and "solver" in inspect.signature(fn).parameters:
+        return {"solver": solver}
+    return {}
 
 
 def _run_experiment(args: argparse.Namespace, out) -> int:
@@ -593,7 +572,6 @@ def _protocol(args: argparse.Namespace, out) -> int:
 
 
 def _scale(args: argparse.Namespace, out) -> int:
-    from .analysis.sweep import resolve_parallel
     from .errors import ReproError
     from .obs import get_session
     from .simulation import run_sharded
@@ -608,9 +586,6 @@ def _scale(args: argparse.Namespace, out) -> int:
                 regions=args.regions,
                 tiers=args.tiers,
             )
-        workers = resolve_parallel(
-            args.shards, topology.region_count, sharded=True
-        )
         result = run_sharded(
             topology,
             requests=args.requests,
@@ -622,7 +597,7 @@ def _scale(args: argparse.Namespace, out) -> int:
             catalog_size=args.catalog,
             warmup=args.warmup,
             seed=args.seed,
-            shards=workers if workers >= 1 else None,
+            shards=None if args.shards == 0 else args.shards,
             metric=args.metric,
         )
     except ReproError as exc:

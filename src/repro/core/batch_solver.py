@@ -5,25 +5,23 @@ optimum at many parameter points.  The scalar solvers in
 :mod:`repro.core.optimizer` bisect one instance at a time (~40 Python
 iterations each); this module holds a *structure-of-arrays* scenario
 grid (:class:`ScenarioGrid`, one numpy column per Table IV parameter)
-and bisects **all** points simultaneously: the Lemma 2 residual
-``a·ℓ^{-s} − (1−ℓ)^{-s} − b`` (eq. 7) and the exact first-order
-condition (Appendix A, eq. 10) are evaluated as array expressions, so a
-whole grid converges in ~40 vectorized iterations instead of
+and bisects **all** points simultaneously: the exact first-order
+condition (Appendix A, eq. 10) is evaluated as one array expression, so
+a whole grid converges in ~40 vectorized iterations instead of
 ``40·|grid|`` scalar objective calls.
 
-Equivalence contract (mirrors the PR 2/4 simulation kernels):
-
-- the scalar :func:`~repro.core.optimizer.optimal_strategy` remains the
-  oracle; with ``warm_start=False`` the batched first-order path
-  performs the *same* float64 operations in the same order per point
-  and is bit-identical to it;
-- with Theorem 2 closed-form warm starts (``α ≈ 1``) the bracket is
-  pre-shrunk, so results agree with the oracle to within the solver
-  tolerance: ≤1e-9 in level, ≤1e-9·max(1, c) in storage, ≤1e-9 in
-  objective and gains (tests enforce exactly this);
-- per-point boundary masks reproduce ``optimal_strategy``'s ``α = 0``
-  shortcut and clip-at-``c`` handling exactly, and
-  :func:`existence_mask` reproduces Lemma 1's conditions per point.
+Equivalence contract: :func:`solve_batch` is bit-identical to the scalar
+:func:`~repro.core.optimizer.optimal_strategy`, which stays as the test
+oracle, in level and storage.  The batched bisection performs the
+*same* float64 operations in the same order per point, per-point
+boundary masks reproduce the scalar ``α = 0`` shortcut and
+clip-at-``c`` handling exactly, and :func:`existence_mask` reproduces
+Lemma 1's conditions per point.  Values evaluated at the optimum
+(objective, gains) agree to a few ulps: numpy may compute array
+``pow`` with SIMD kernels that round differently from libm's scalar
+``pow``.
+:func:`resolve_incremental` (warm Newton corrections) agrees with a cold
+solve within 1e-9 in level.
 
 All derived coefficient columns are memoized on the grid and served as
 *read-only* arrays (like the eq. 1 tables in :mod:`repro.core.zipf`), so
@@ -37,12 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import (
-    ConvergenceError,
-    ExistenceConditionError,
-    ParameterError,
-    SingularExponentError,
-)
+from ..errors import ConvergenceError, ExistenceConditionError, ParameterError
 from ..obs import get_session
 from .conditions import MIN_LARGE_CATALOG, check_existence
 from .gains import PerformanceGains
@@ -57,25 +50,13 @@ __all__ = [
     "ScenarioGrid",
     "BatchStrategy",
     "BatchGains",
-    "WARM_START_MIN_ALPHA",
     "solve_batch",
     "resolve_incremental",
     "evaluate_gains_batch",
     "existence_mask",
-    "lemma2_coefficients_batch",
-    "solve_lemma2_batch",
-    "closed_form_alpha1_batch",
     "mean_latency_batch",
     "coordination_cost_batch",
 ]
-
-#: Minimum per-point ``α`` at which Theorem 2's closed form is a useful
-#: bracket predictor: the closed form drops the ``(1-α)`` cost term, so
-#: it only localizes the root when the objective is latency-dominated.
-WARM_START_MIN_ALPHA = 0.9
-
-_METHODS = ("auto", "lemma2", "first-order", "scalar-min", "closed-form")
-
 
 def _column(value: object, dtype=np.float64) -> np.ndarray:
     return np.asarray(value, dtype=dtype)
@@ -457,17 +438,6 @@ def _newton_step_columns(
     return d, grid.alpha * t_double
 
 
-def _closed_form_columns(grid: ScenarioGrid) -> np.ndarray:
-    # Theorem 2 closed form, unvalidated (warm-start probe only); nan
-    # at extreme (γ, s) underflow is harmless — nan probes never pass
-    # the bracket-validity comparison and are ignored.
-    s = grid.exponent
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 / (
-            grid.gamma ** (-1.0 / s) * grid.n_routers ** (1.0 - 1.0 / s) + 1.0
-        )
-
-
 # -- existence conditions (Lemma 1, vectorized) -------------------------
 
 
@@ -524,150 +494,18 @@ def _raise_existence(grid: ScenarioGrid, ok: np.ndarray) -> None:
 # -- batched solvers ----------------------------------------------------
 
 
-def lemma2_coefficients_batch(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The eq. 7 coefficient columns ``(a, b)`` for a whole grid (Lemma 2).
-
-    ``a = γ·n^{1-s}``;
-    ``b = ((1-α)/α)·((N^{1-s}-1)/(1-s))·((n-1)·w/(d1-d0))·c^s``.
-
-    Like the scalar :func:`~repro.core.optimizer.lemma2_coefficients`,
-    raises :class:`~repro.errors.ParameterError` if any point has
-    ``α = 0`` (``b`` diverges; :func:`solve_batch` masks those points to
-    the trivial boundary before calling this) and
-    :class:`~repro.errors.SingularExponentError` at the s = 1
-    singularity.
-    """
-    if np.any(grid.alpha <= 0.0):
-        raise ParameterError(
-            "Lemma 2 coefficients are undefined at alpha = 0; the optimum "
-            "there is trivially non-coordinated (level 0)"
-        )
-    _require_nonsingular(grid)
-    return _lemma2_ab(grid, grid.alpha)
-
-
-def _require_nonsingular(grid: ScenarioGrid) -> None:
-    singular = grid.derived()["singular"]
-    if np.any(singular):
-        index = int(np.flatnonzero(singular)[0])
-        raise SingularExponentError(
-            f"Zipf exponent s = 1 (grid point {index}) is the eq. 6/7 "
-            f"singularity; this solver requires s in (0, 1) ∪ (1, 2)"
-        )
-
-
-def _lemma2_ab(
-    grid: ScenarioGrid, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    derived = grid.derived()
-    s = grid.exponent
-    a = grid.gamma * grid.n_routers ** (1.0 - s)
-    zipf_factor = (grid.catalog_size ** (1.0 - s) - 1.0) / (1.0 - s)
-    cost_factor = (
-        (grid.n_routers - 1.0) * derived["w_scaled"] / derived["peer_delta"]
-    )
-    b = ((1.0 - alpha) / alpha) * zipf_factor * cost_factor * grid.capacity**s
-    return a, b
-
-
-def solve_lemma2_batch(
-    a: np.ndarray, b: np.ndarray, exponent: np.ndarray
-) -> np.ndarray:
-    """Solve the eq. 7 fixed point by bisection for every column entry.
-
-    Theorem 1 guarantees a unique root of
-    ``g(ℓ) = a·ℓ^{-s} - (1-ℓ)^{-s} - b`` on ``(0, 1)`` per point; like
-    the scalar :func:`~repro.core.optimizer.solve_lemma2`, points whose
-    root sits beyond the numerical bracket are clamped to the boundary
-    the monotone ``g`` points at.
-    """
-    a = _column(a)
-    b = _column(b)
-    s = _column(exponent)
-    if np.any(~np.isfinite(exponent := s)) or np.any(
-        (exponent <= 0.0) | (exponent >= 2.0)
-    ) or np.any(np.abs(exponent - 1.0) <= SINGULARITY_TOLERANCE):
-        raise SingularExponentError(
-            "exponent column must lie in (0, 1) ∪ (1, 2) for the eq. 7 "
-            "fixed point (s = 1 is the singularity)"
-        )
-    if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
-        raise ParameterError("coefficient column a must be positive")
-    if np.any(b < 0.0):
-        raise ParameterError("coefficient column b must be non-negative")
-    a, b, s = np.broadcast_arrays(a, b, s)
-
-    def g(level: np.ndarray) -> np.ndarray:
-        return a * level**-s - (1.0 - level) ** -s - b
-
-    lo = np.full(a.shape, LEVEL_TOLERANCE)
-    hi = np.full(a.shape, 1.0 - LEVEL_TOLERANCE)
-    g_lo = g(lo)
-    g_hi = g(hi)
-    clamp_lo = g_lo <= 0.0
-    clamp_hi = ~clamp_lo & (g_hi >= 0.0)
-    interior = ~clamp_lo & ~clamp_hi
-    active = interior & (hi - lo > LEVEL_TOLERANCE)
-    iterations = 0
-    while active.any():
-        if iterations >= MAX_BISECTION_ITERATIONS:
-            raise ConvergenceError(
-                f"batched Lemma 2 bisection failed to converge within "
-                f"{MAX_BISECTION_ITERATIONS} iterations"
-            )
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        above = active & (g(mid) > 0.0)
-        lo = np.where(above, mid, lo)
-        hi = np.where(active & ~above, mid, hi)
-        active = interior & (hi - lo > LEVEL_TOLERANCE)
-    levels = np.where(interior, 0.5 * (lo + hi), np.where(clamp_lo, lo, hi))
-    return levels
-
-
-def closed_form_alpha1_batch(
-    gamma: np.ndarray, n_routers: np.ndarray, exponent: np.ndarray
-) -> np.ndarray:
-    """Theorem 2's closed-form optimal level columns for ``α = 1``.
-
-    ``ℓ* = 1 / (γ^{-1/s}·n^{1-1/s} + 1)`` — the corrected-exponent form
-    (see :func:`~repro.core.optimizer.closed_form_alpha1` for why the
-    paper's printed eq. 8 sign is adjusted).
-    """
-    g = _column(gamma)
-    n = _column(n_routers)
-    s = _column(exponent)
-    if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
-        raise ParameterError("gamma column must be positive")
-    if np.any(n < 1.0):
-        raise ParameterError("router count column must be positive")
-    if np.any(~np.isfinite(exponent := s)) or np.any(
-        (exponent <= 0.0) | (exponent >= 2.0)
-    ) or np.any(np.abs(exponent - 1.0) <= SINGULARITY_TOLERANCE):
-        raise SingularExponentError(
-            "exponent column must lie in (0, 1) ∪ (1, 2) for Theorem 2 "
-            "(s = 1 is the singularity)"
-        )
-    return 1.0 / (g ** (-1.0 / s) * n ** (1.0 - 1.0 / s) + 1.0)
-
-
 def _solve_first_order_columns(
-    grid: ScenarioGrid,
-    derived: Mapping[str, np.ndarray],
-    warm_start: bool,
+    grid: ScenarioGrid, derived: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, int]:
     """Bisect the Appendix A eq. 10 first-order condition per point.
 
     Mirrors :func:`~repro.core.optimizer.solve_first_order` exactly:
     ``α ≤ 0`` points return 0; ``d(0) ≥ 0`` points return 0;
     ``d(c·(1-1e-12)) ≤ 0`` points return ``c``; everything else bisects
-    to ``hi - lo ≤ LEVEL_TOLERANCE·c``.  ``warm_start`` pre-shrinks the
-    bracket for ``α ≥ WARM_START_MIN_ALPHA`` points with two monotone
-    probes around the Theorem 2 closed form.
+    to ``hi - lo ≤ LEVEL_TOLERANCE·c``.
     """
     capacity = grid.capacity
-    alpha = grid.alpha
-    positive = alpha > 0.0
+    positive = grid.alpha > 0.0
     lo = np.zeros(len(grid))
     hi = capacity * (1.0 - 1e-12)
     d_lo = _derivative_columns(grid, derived, lo)
@@ -675,24 +513,6 @@ def _solve_first_order_columns(
     d_hi = _derivative_columns(grid, derived, hi)
     at_capacity = positive & ~at_zero & (d_hi <= 0.0)
     interior = positive & ~at_zero & ~at_capacity
-
-    if warm_start and bool(np.any(interior & (alpha >= WARM_START_MIN_ALPHA))):
-        warm = interior & (alpha >= WARM_START_MIN_ALPHA)
-        x_hat = _closed_form_columns(grid) * capacity
-        # Two probes bracketing the Theorem 2 prediction.  The objective
-        # is convex (Lemma 1) so its derivative is increasing: any probe
-        # with d < 0 is a valid new lo, any probe with d >= 0 a valid
-        # new hi — warm starts can shrink but never invalidate the
-        # bracket.  Probes outside the current bracket (and nan probes
-        # from underflowed closed forms) fail the comparison and are
-        # ignored.
-        for probe in (0.75 * x_hat, np.minimum(1.25 * x_hat, 0.5 * (x_hat + hi))):
-            inside = warm & (lo < probe) & (probe < hi)
-            if not inside.any():
-                continue
-            d_probe = _derivative_columns(grid, derived, np.where(inside, probe, lo))
-            lo = np.where(inside & (d_probe < 0.0), probe, lo)
-            hi = np.where(inside & (d_probe >= 0.0), probe, hi)
 
     tolerance = LEVEL_TOLERANCE * capacity
     active = interior & (hi - lo > tolerance)
@@ -799,55 +619,34 @@ def _finish_columns(
 
 
 def solve_batch(
-    grid: ScenarioGrid,
-    *,
-    method: str = "auto",
-    check_conditions: bool = True,
-    warm_start: bool = True,
+    grid: ScenarioGrid, *, check_conditions: bool = True
 ) -> BatchStrategy:
     """Solve eq. 5 for every grid point in one vectorized pass.
 
     The batched analogue of
-    :func:`~repro.core.optimizer.optimal_strategy`; per-point semantics
-    (the α = 0 boundary shortcut, clip-at-``c`` handling, the
-    finish-time boundary comparison) are reproduced exactly, and the
-    bisections (eq. 7 / Appendix A eq. 10) run as ~40 whole-grid array
-    iterations.
+    :func:`~repro.core.optimizer.optimal_strategy`, bit-identical to it
+    per point in level and storage: the α = 0 boundary shortcut,
+    clip-at-``c`` handling and the finish-time boundary comparison are
+    reproduced exactly, and the Appendix A eq. 10 bisection runs as ~40
+    whole-grid array iterations.
 
     Parameters
     ----------
     grid:
         The structure-of-arrays parameter grid.
-    method:
-        ``"auto"``/``"first-order"`` bisect the exact first-order
-        condition; ``"lemma2"`` the eq. 7 fixed point; ``"closed-form"``
-        applies Theorem 2 (``α = 1`` points only).  ``"scalar-min"`` has
-        no batched form — use the scalar oracle — and raises
-        :class:`~repro.errors.ParameterError`.
     check_conditions:
         When True (default), Lemma 1's conditions are checked per point
         and :class:`~repro.errors.ExistenceConditionError` is raised if
         any point violates them (mirroring the scalar solver).  The
         per-point mask is recorded on the result either way.
-    warm_start:
-        Pre-shrink first-order brackets with Theorem 2 probes for
-        ``α ≥ WARM_START_MIN_ALPHA`` points.  ``False`` makes the
-        first-order path bit-identical to the scalar oracle.
 
     Reports a ``solver.batch`` span with ``solver.batch.points`` /
     ``solver.batch.grids`` counters and an iterations + points/s gauge
     pair to :mod:`repro.obs`.
     """
-    if method not in _METHODS:
-        raise ParameterError(f"unknown solver method {method!r}")
-    if method == "scalar-min":
-        raise ParameterError(
-            "scalar-min has no batched form (scipy's bounded Brent is "
-            "inherently per-point); use the scalar optimal_strategy oracle"
-        )
     obs = get_session()
     with obs.span("solver.batch") as span:
-        strategy = _solve_batch_impl(grid, method, check_conditions, warm_start)
+        strategy = _solve_batch_impl(grid, check_conditions)
     if obs.enabled:
         obs.counter("solver.batch.grids").add()
         obs.counter("solver.batch.points").add(len(grid))
@@ -859,40 +658,13 @@ def solve_batch(
     return strategy
 
 
-def _solve_batch_impl(
-    grid: ScenarioGrid, method: str, check_conditions: bool, warm_start: bool
-) -> BatchStrategy:
+def _solve_batch_impl(grid: ScenarioGrid, check_conditions: bool) -> BatchStrategy:
     ok = existence_mask(grid)
     if check_conditions and not bool(ok.all()):
         _raise_existence(grid, ok)
     derived = grid.derived()
-    alpha = grid.alpha
-    boundary = alpha == 0.0
-    iterations = 0
-
-    if method == "closed-form":
-        if np.any(~boundary & (alpha != 1.0)):
-            raise ParameterError(
-                "the closed form (Theorem 2) applies only at alpha = 1"
-            )
-        if np.any(~boundary):
-            _require_nonsingular(grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_star = np.where(boundary, 0.0, _closed_form_columns(grid) * grid.capacity)
-        labels = np.where(boundary, "boundary", "closed-form")
-    elif method == "lemma2":
-        if np.any(~boundary):
-            _require_nonsingular(grid)
-        safe_alpha = np.where(boundary, 0.5, alpha)
-        a, b = _lemma2_ab(grid, safe_alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            levels = solve_lemma2_batch(a, b, grid.exponent)
-        x_star = np.where(boundary, 0.0, levels * grid.capacity)
-        labels = np.where(boundary, "boundary", "lemma2")
-    else:  # auto / first-order
-        x_star, iterations = _solve_first_order_columns(grid, derived, warm_start)
-        labels = np.where(boundary, "boundary", "first-order")
-
+    x_star, iterations = _solve_first_order_columns(grid, derived)
+    labels = np.where(grid.alpha == 0.0, "boundary", "first-order")
     return _finish_columns(grid, derived, x_star, labels, ok, iterations)
 
 

@@ -106,8 +106,21 @@ class Scenario:
         require_positive(self.peer_delta, "peer delta d1-d0")
 
     def replace(self, **changes: object) -> "Scenario":
-        """Return a copy with the given fields updated (sweep helper)."""
-        return dataclasses.replace(self, **changes)
+        """Return a copy with the given fields updated (sweep helper).
+
+        Unknown field names raise :class:`~repro.errors.ParameterError`
+        (naming them) instead of ``dataclasses.replace``'s ``TypeError``.
+        """
+        try:
+            return dataclasses.replace(self, **changes)
+        except TypeError as exc:
+            known = {f.name for f in dataclasses.fields(self)}
+            unknown = sorted(set(changes) - known)
+            if unknown:
+                raise ParameterError(
+                    f"unknown scenario field(s) {unknown}; expected among {sorted(known)}"
+                ) from exc
+            raise
 
     @classmethod
     def from_topology(

@@ -1,11 +1,13 @@
 """Equivalence tests for repro.core.batch_solver vs the scalar oracle.
 
-The contract under test (batch_solver module docstring): with
-``warm_start=False`` the batched first-order path is bit-identical to
-:func:`repro.core.optimizer.optimal_strategy`; with warm starts it
-agrees within the solver tolerance — per point ``level`` within 1e-9,
-``storage`` within ``1e-9·max(1, c)``, ``objective``/``G_O``/``G_R``
-within 1e-9.
+The contract under test (batch_solver module docstring): the batched
+first-order bisection is bit-identical to
+:func:`repro.core.optimizer.optimal_strategy` — per point ``level`` and
+``storage`` compare with ``==``.  The eq. 2/6 evaluations at that
+optimum (``objective``, ``G_O``, ``G_R``) go through numpy's vectorized
+``pow``, which some CPU builds compute with SIMD kernels that are not
+correctly rounded like libm's scalar ``pow``; they agree within
+:data:`ULP_TOL`.
 """
 
 from __future__ import annotations
@@ -16,33 +18,22 @@ import pytest
 from repro.core.batch_solver import (
     BatchStrategy,
     ScenarioGrid,
-    closed_form_alpha1_batch,
     evaluate_gains_batch,
     existence_mask,
-    lemma2_coefficients_batch,
     solve_batch,
-    solve_lemma2_batch,
 )
 from repro.core.conditions import check_existence
 from repro.core.gains import evaluate_gains
-from repro.core.optimizer import (
-    closed_form_alpha1,
-    lemma2_coefficients,
-    optimal_strategy,
-    solve_lemma2,
-)
+from repro.core.optimizer import optimal_strategy
 from repro.core.scenario import Scenario
-from repro.errors import (
-    ExistenceConditionError,
-    ParameterError,
-    SingularExponentError,
-)
+from repro.errors import ExistenceConditionError, ParameterError
 from repro.obs import session
 
 BASE = Scenario()  # Table IV base point
 
-LEVEL_TOL = 1e-9
-VALUE_TOL = 1e-9
+#: Bound for eq. 2/6 values evaluated at the identical optimum: a few
+#: float64 ulps of the O(1) latencies and gains (measured max 6.2e-15).
+ULP_TOL = 1e-14
 
 
 def random_scenarios(seed: int, count: int) -> list[Scenario]:
@@ -60,7 +51,7 @@ def random_scenarios(seed: int, count: int) -> list[Scenario]:
         elif i % 7 == 1:
             alpha = 1.0
         elif i % 7 == 2:
-            alpha = float(rng.uniform(0.9, 1.0))  # warm-start regime
+            alpha = float(rng.uniform(0.9, 1.0))  # latency-dominated regime
         else:
             alpha = float(rng.uniform(0.01, 0.99))
         exponent = float(rng.uniform(0.3, 1.95))
@@ -81,20 +72,13 @@ def random_scenarios(seed: int, count: int) -> list[Scenario]:
     return scenarios
 
 
-def assert_matches_scalar(
-    grid: ScenarioGrid, batched: BatchStrategy, **solve_kwargs
-) -> None:
+def assert_matches_scalar(grid: ScenarioGrid, batched: BatchStrategy) -> None:
     for i in range(len(grid)):
-        scenario = grid.scenario_at(i)
-        scalar = optimal_strategy(
-            scenario.model(), check_conditions=False, **solve_kwargs
-        )
-        assert batched.level[i] == pytest.approx(scalar.level, abs=LEVEL_TOL)
-        assert batched.storage[i] == pytest.approx(
-            scalar.storage, abs=VALUE_TOL * max(1.0, scenario.capacity)
-        )
+        scalar = optimal_strategy(grid.scenario_at(i).model(), check_conditions=False)
+        assert float(batched.level[i]) == scalar.level
+        assert float(batched.storage[i]) == scalar.storage
         assert batched.objective_value[i] == pytest.approx(
-            scalar.objective_value, rel=VALUE_TOL, abs=VALUE_TOL
+            scalar.objective_value, rel=ULP_TOL, abs=ULP_TOL
         )
 
 
@@ -145,7 +129,7 @@ class TestScenarioGrid:
 
 
 class TestFirstOrderEquivalence:
-    def test_random_grid_matches_scalar_within_tolerance(self):
+    def test_random_grid_is_bit_identical_to_scalar(self):
         scenarios = random_scenarios(seed=11, count=40)
         grid = ScenarioGrid.from_scenarios(scenarios)
         batched = solve_batch(grid, check_conditions=False)
@@ -154,7 +138,7 @@ class TestFirstOrderEquivalence:
     def test_cold_path_is_bit_identical_to_scalar(self):
         scenarios = random_scenarios(seed=23, count=25)
         grid = ScenarioGrid.from_scenarios(scenarios)
-        batched = solve_batch(grid, check_conditions=False, warm_start=False)
+        batched = solve_batch(grid, check_conditions=False)
         for i, scenario in enumerate(scenarios):
             scalar = optimal_strategy(scenario.model(), check_conditions=False)
             assert float(batched.level[i]) == scalar.level
@@ -164,7 +148,7 @@ class TestFirstOrderEquivalence:
         grid = ScenarioGrid.from_product(
             BASE.replace(exponent=1.0), alpha=[0.3, 0.6, 1.0]
         )
-        batched = solve_batch(grid, check_conditions=False, warm_start=False)
+        batched = solve_batch(grid, check_conditions=False)
         assert_matches_scalar(grid, batched)
 
     def test_alpha_zero_is_boundary(self):
@@ -195,67 +179,6 @@ class TestFirstOrderEquivalence:
         assert scalar.alpha == 0.4
 
 
-class TestAlternateMethods:
-    def test_lemma2_batch_matches_scalar_per_point(self):
-        scenarios = [
-            s for s in random_scenarios(seed=5, count=30) if s.alpha > 0.0
-        ]
-        grid = ScenarioGrid.from_scenarios(scenarios)
-        a, b = lemma2_coefficients_batch(grid)
-        levels = solve_lemma2_batch(a, b, grid.exponent)
-        for i, scenario in enumerate(scenarios):
-            coeffs = lemma2_coefficients(scenario.model())
-            assert a[i] == pytest.approx(coeffs.a, rel=1e-12)
-            assert b[i] == pytest.approx(coeffs.b, rel=1e-12)
-            assert levels[i] == pytest.approx(solve_lemma2(coeffs), abs=LEVEL_TOL)
-
-    def test_lemma2_method_matches_scalar_solver(self):
-        scenarios = [
-            s for s in random_scenarios(seed=17, count=20) if s.alpha > 0.0
-        ]
-        grid = ScenarioGrid.from_scenarios(scenarios)
-        batched = solve_batch(grid, method="lemma2", check_conditions=False)
-        assert_matches_scalar(grid, batched, method="lemma2")
-
-    def test_closed_form_batch_matches_scalar(self):
-        gammas = np.array([0.5, 2.0, 5.0, 20.0])
-        levels = closed_form_alpha1_batch(gammas, 20.0, 0.8)
-        for gamma, level in zip(gammas, levels):
-            assert level == pytest.approx(
-                closed_form_alpha1(float(gamma), 20, 0.8), rel=1e-12
-            )
-
-    def test_closed_form_method_requires_alpha_one(self):
-        grid = ScenarioGrid(alpha=[0.5, 1.0])
-        with pytest.raises(ParameterError, match="alpha = 1"):
-            solve_batch(grid, method="closed-form", check_conditions=False)
-
-    def test_closed_form_method_matches_scalar_at_alpha_one(self):
-        grid = ScenarioGrid.from_product(
-            BASE.replace(alpha=1.0), gamma=[1.0, 5.0, 12.0]
-        )
-        batched = solve_batch(grid, method="closed-form", check_conditions=False)
-        assert_matches_scalar(grid, batched, method="closed-form")
-
-    def test_scalar_min_has_no_batched_form(self):
-        grid = ScenarioGrid(alpha=[0.5])
-        with pytest.raises(ParameterError, match="scalar-min"):
-            solve_batch(grid, method="scalar-min", check_conditions=False)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            solve_batch(ScenarioGrid(alpha=[0.5]), method="newton")
-
-    def test_lemma2_coefficients_reject_alpha_zero(self):
-        with pytest.raises(ParameterError):
-            lemma2_coefficients_batch(ScenarioGrid(alpha=[0.0, 0.5]))
-
-    def test_singular_exponent_rejected_outside_first_order(self):
-        grid = ScenarioGrid(alpha=[0.5], exponent=[1.0])
-        with pytest.raises(SingularExponentError):
-            solve_batch(grid, method="lemma2", check_conditions=False)
-
-
 class TestGainsEquivalence:
     def test_gains_match_scalar_per_point(self):
         scenarios = random_scenarios(seed=41, count=30)
@@ -268,10 +191,10 @@ class TestGainsEquivalence:
                 model, optimal_strategy(model, check_conditions=False)
             )
             assert gains.origin_load_reduction[i] == pytest.approx(
-                scalar.origin_load_reduction, abs=VALUE_TOL
+                scalar.origin_load_reduction, abs=ULP_TOL
             )
             assert gains.routing_improvement[i] == pytest.approx(
-                scalar.routing_improvement, abs=VALUE_TOL
+                scalar.routing_improvement, abs=ULP_TOL
             )
 
     def test_accepts_raw_storage_column(self):

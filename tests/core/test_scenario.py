@@ -38,6 +38,10 @@ class TestReplace:
         with pytest.raises(ParameterError):
             Scenario().replace(alpha=2.0)
 
+    def test_replace_rejects_unknown_field(self):
+        with pytest.raises(ParameterError, match=r"\['bogus'\]"):
+            Scenario().replace(alpha=0.5, bogus=1.0)
+
 
 class TestModelWiring:
     def test_latency_realizes_gamma(self):

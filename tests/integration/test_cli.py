@@ -194,6 +194,32 @@ class TestApproxCommand:
         assert text.startswith("alpha,")
 
 
+class TestScaleCommand:
+    ARGS = (
+        "scale", "--routers", "60", "--regions", "4", "--requests", "5000",
+        "--catalog", "1000", "--capacity", "10",
+    )
+
+    @staticmethod
+    def metric_lines(text: str) -> list[str]:
+        names = ("origin load", "local/peer", "mean hops", "mean latency")
+        return [line for line in text.splitlines() if line.startswith(names)]
+
+    def test_serial_and_pooled_shards_print_identical_metrics(self):
+        code, serial = run_cli(*self.ARGS, "--shards", "0")
+        assert code == 0
+        assert "no worker shards" in serial
+        code, pooled = run_cli(*self.ARGS, "--shards", "2")
+        assert code == 0
+        assert len(self.metric_lines(serial)) == 4
+        assert self.metric_lines(pooled) == self.metric_lines(serial)
+
+    def test_negative_shard_count_is_exit_2(self, capsys):
+        code, _ = run_cli(*self.ARGS, "--shards", "-1")
+        assert code == 2
+        assert "shard" in capsys.readouterr().err
+
+
 class TestCcnCommand:
     def test_single_run(self):
         code, text = run_cli(

@@ -1,4 +1,4 @@
-"""CLI integration: --obs recording, obs summarize, --parallel smoke."""
+"""CLI integration: --obs recording and obs summarize."""
 
 from __future__ import annotations
 
@@ -33,34 +33,25 @@ class TestRunWithObs:
         }
         assert "experiment.table1" in manifest["phases"]
 
-    def test_run_parallel_smoke(self, tmp_path):
+    def test_run_figure_records_sweep_spans(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        code, text = run_cli(
-            "run", "figure4", "--parallel", "2", "--obs", str(events_path)
-        )
+        code, text = run_cli("run", "figure4", "--obs", str(events_path))
         assert code == 0
         assert "Figure 4" in text
         events = read_events(events_path)
         counters = {
             e["name"]: e["value"] for e in events if e["type"] == "counter"
         }
-        assert counters["sweep.grid_points"] > 0
-        # Worker spans were merged back (live or via serial fallback).
-        spans = [
-            e for e in events if e["type"] in ("span", "span_merge")
-            and e["name"] == "sweep.point"
-        ]
-        assert spans
+        assert counters["sweep.grid_points"] == counters["solver.batch.points"] > 0
+        spans = {e["name"] for e in events if e["type"] == "span"}
+        assert {"sweep.grid", "solver.batch"} <= spans
 
-    def test_run_parallel_without_obs(self):
-        code, text = run_cli("run", "figure4", "--parallel", "2")
-        assert code == 0
-        assert "Figure 4" in text
-
-    def test_parallel_output_identical_to_serial(self):
-        _, serial = run_cli("run", "figure4")
-        _, parallel = run_cli("run", "figure4", "--parallel", "2")
-        assert serial == parallel
+    def test_obs_recording_leaves_output_unchanged(self, tmp_path):
+        _, plain = run_cli("run", "figure4")
+        _, recorded = run_cli(
+            "run", "figure4", "--obs", str(tmp_path / "events.jsonl")
+        )
+        assert plain == recorded
 
     def test_unwritable_obs_path_is_exit_2(self, tmp_path):
         code, _ = run_cli(
@@ -130,5 +121,5 @@ class TestBenchHarnessObs:
         payload = json.loads(out_path.read_text())
         assert payload["provenance"]["python"]
         assert payload["obs"]["counters"]["sim.steady.requests"] > 0
-        assert "sweep.point" in payload["obs"]["spans"]
+        assert {"sweep.grid", "solver.batch"} <= set(payload["obs"]["spans"])
         assert payload["obs"]["manifest"]["annotations"]["bench_label"] == "test"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.defaults import BASE_SCENARIO
@@ -11,7 +13,9 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     NULL_SESSION,
     ObsSession,
+    available_cpus,
     get_session,
+    machine_provenance,
     register_provider,
     registered_providers,
     session,
@@ -101,7 +105,7 @@ class TestProviders:
 class TestSnapshotMerge:
     def test_merge_snapshot_folds_spans_and_metrics(self):
         worker = ObsSession()
-        with worker.span("sweep.point"):
+        with worker.span("sim.region"):
             pass
         worker.counter("solved").add(1)
         parent = ObsSession()
@@ -109,7 +113,7 @@ class TestSnapshotMerge:
         parent.merge_snapshot(worker.snapshot())
         snap = parent.snapshot()
         assert snap["counters"]["solved"] == 2.0
-        assert snap["spans"]["sweep.point"]["count"] == 2
+        assert snap["spans"]["sim.region"]["count"] == 2
 
     def test_snapshot_has_manifest_with_phases(self):
         active = ObsSession(annotations={"run": "test"})
@@ -121,33 +125,40 @@ class TestSnapshotMerge:
         assert manifest["provenance"]["python"]
 
 
-class TestParallelSweepMerge:
-    """The acceptance-critical path: worker capture sessions merge back."""
+class TestSweepSpans:
+    """A sweep records one grid span around one batched solve."""
 
-    def _sweep(self, parallel):
+    def _sweep(self):
         return sweep(
             BASE_SCENARIO,
             x_field="alpha",
             x_values=(0.2, 0.4, 0.6, 0.8),
             quantity="level",
-            parallel=parallel,
         )
 
-    def test_parallel_sweep_merges_worker_spans(self):
+    def test_sweep_records_grid_and_solver_spans(self):
         with session() as active:
-            parallel_series = self._sweep(2)
+            self._sweep()
         snap = active.snapshot()
-        # Every grid point produced exactly one sweep.point span, whether
-        # measured in a worker (absorbed) or the parent (serial fallback).
-        assert snap["spans"]["sweep.point"]["count"] == 4
-        assert snap["counters"]["sweep.grid_points"] == 4.0
         assert snap["spans"]["sweep.grid"]["count"] == 1
-        # Observed solving changed nothing about the numbers.
-        assert parallel_series == self._sweep(None)
+        assert snap["spans"]["solver.batch"]["count"] == 1
+        assert snap["counters"]["sweep.grid_points"] == 4.0
+        assert snap["counters"]["solver.batch.points"] == 4.0
 
-    def test_serial_sweep_records_same_shape(self):
-        with session() as active:
-            self._sweep(None)
-        snap = active.snapshot()
-        assert snap["spans"]["sweep.point"]["count"] == 4
-        assert "sweep.worker_snapshots" not in snap["counters"]
+    def test_recording_leaves_values_unchanged(self):
+        with session():
+            observed = self._sweep()
+        assert observed == self._sweep()
+
+
+class TestAvailableCpus:
+    def test_at_least_one_and_at_most_the_machine(self):
+        cpus = available_cpus()
+        assert cpus >= 1
+        machine = os.cpu_count()
+        if machine:
+            assert cpus <= machine
+
+    def test_reported_in_machine_provenance(self):
+        provenance = machine_provenance()
+        assert provenance["process_cpu_count"] == available_cpus()
