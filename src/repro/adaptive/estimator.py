@@ -12,12 +12,18 @@ a smooth 1-D convex problem in the negative log-likelihood
 ``f(s) = s·m + log H_{N,s}`` (``m`` the mean observed log-rank).  Its
 derivative ``f'(s) = m − E_s[log j]`` is increasing (``f'' =
 Var_s(log j) > 0``), so the MLE is found by a safeguarded Newton
-iteration on ``f'`` — warm-started from the previous estimate inside
+iteration on ``f'``, warm-started from the previous estimate inside
 :class:`ExponentEstimator`, whose exponentially weighted window keeps
-``m`` as an O(1) sufficient statistic, making each per-tick re-estimate
-a couple of O(N) weight passes instead of the ~25 a bounded scalar
-minimization needs.  Bounded minimization remains as the fallback for
-gigantic catalogs (no exact weight table) and non-convergence.
+``m`` as an O(1) sufficient statistic.
+
+Score and curvature need the log-rank moments
+``S_k(s) = Σ_{j=1}^{N} j^{-s} (log j)^k`` for ``k = 0, 1, 2``.  They are
+evaluated in O(1) time and memory for any ``N``: the first
+``_HEAD_RANKS - 1`` ranks are summed exactly and the tail by
+Euler–Maclaurin (a fixed Gauss–Legendre rule for the integral in
+``u = log x``, which has no singularity at ``s = 1``, plus end-point and
+Bernoulli corrections).  Bounded scalar minimization on ``log S_0``
+remains only as the fallback when Newton fails to settle.
 """
 
 from __future__ import annotations
@@ -26,15 +32,10 @@ import math
 import numpy as np
 from scipy import optimize as _scipy_optimize
 
-from ..core.zipf import harmonic_number
 from ..errors import ConvergenceError, ParameterError
+from ..obs import get_session
 
 __all__ = ["estimate_exponent", "ExponentEstimator"]
-
-#: Catalogs up to this size get exact Newton weight tables; beyond it
-#: the memory/latency of the O(N) tables outweighs the saved solver
-#: evaluations and the bounded-minimization fallback is used instead.
-_MAX_EXACT_CATALOG = 5_000_000
 
 #: Safeguarded-Newton iteration cap before falling back to bounded
 #: minimization (module-level so tests can force the fallback).
@@ -43,33 +44,105 @@ _NEWTON_MAX_ITERATIONS = 24
 #: Absolute tolerance on the estimate (bracket width / Newton step).
 _NEWTON_TOLERANCE = 1e-12
 
-#: log-rank tables per catalog size: ``(log j, log² j)`` for j = 1..N.
-_LOG_RANK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_LOG_RANK_CACHE_MAX = 4
+#: ``J``: catalogs with ``N <= J`` are summed exactly; larger ones sum
+#: ranks ``1 .. J-1`` exactly and the tail ``[J, N]`` by Euler–Maclaurin.
+_HEAD_RANKS = 64
+
+#: Gauss–Legendre nodes for the tail integral over ``[log J, log N]``.
+_QUADRATURE_NODES = 32
+
+#: ``B_{2m} / (2m)!`` for ``m = 1..4``: the Euler–Maclaurin corrections.
+_BERNOULLI_COEFFICIENTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
+
+#: Evaluation points per catalog size: ``(u, u², weight, shift)`` for the
+#: exact head ranks (``u = log j``, weight 1, shift 0) followed by the
+#: quadrature nodes (weight ``w·h``, shift 1 for the ``dx = e^u du`` Jacobian).
+_MOMENT_TABLES: dict[int, tuple[np.ndarray, ...]] = {}
+_MOMENT_TABLES_MAX = 4
 
 #: ``E_s[log j]`` memoized at the (few, fixed) search bounds — the
-#: boundary probes of every warm re-estimate become O(1).
+#: boundary probes of every warm re-estimate skip the moment sums.
 _BOUND_MEAN_CACHE: dict[tuple[int, float], float] = {}
 _BOUND_MEAN_CACHE_MAX = 16
 
 
-def _log_rank_tables(catalog_size: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _LOG_RANK_CACHE.get(catalog_size)
+def _moment_tables(catalog_size: int) -> tuple[np.ndarray, ...]:
+    cached = _MOMENT_TABLES.get(catalog_size)
     if cached is not None:
         return cached
-    log_ranks = np.log(np.arange(1, catalog_size + 1, dtype=np.float64))
-    tables = (log_ranks, log_ranks * log_ranks)
-    while len(_LOG_RANK_CACHE) >= _LOG_RANK_CACHE_MAX:
-        _LOG_RANK_CACHE.pop(next(iter(_LOG_RANK_CACHE)))
-    _LOG_RANK_CACHE[catalog_size] = tables
+    exact = catalog_size if catalog_size <= _HEAD_RANKS else _HEAD_RANKS - 1
+    points = np.log(np.arange(1, exact + 1, dtype=np.float64))
+    weights = np.ones(exact)
+    shifts = np.zeros(exact)
+    if catalog_size > _HEAD_RANKS:
+        nodes, node_weights = np.polynomial.legendre.leggauss(_QUADRATURE_NODES)
+        lo, hi = math.log(_HEAD_RANKS), math.log(catalog_size)
+        half = 0.5 * (hi - lo)
+        points = np.concatenate([points, lo + half * (nodes + 1.0)])
+        weights = np.concatenate([weights, half * node_weights])
+        shifts = np.concatenate([shifts, np.ones(_QUADRATURE_NODES)])
+    tables = (points, points * points, weights, shifts)
+    while len(_MOMENT_TABLES) >= _MOMENT_TABLES_MAX:
+        _MOMENT_TABLES.pop(next(iter(_MOMENT_TABLES)))
+    _MOMENT_TABLES[catalog_size] = tables
     return tables
+
+
+def _endpoint_terms(s: float, x: float, sign: float) -> list[float]:
+    """Euler–Maclaurin end-point terms of ``f_k(x) = x^{-s} (log x)^k``.
+
+    Returns ``f_k(x)/2 + sign · Σ_m B_{2m}/(2m)! · f_k^{(2m-1)}(x)`` for
+    ``k = 0, 1, 2`` (``sign`` is +1 at the upper end, −1 at the lower).
+    The ``d``-th derivative is ``x^{-s-d} P_d(log x)`` with ``P_0 = L^k``
+    and ``P_{d+1} = (−s−d) P_d + P_d′``; ``P`` has degree at most 2.
+    """
+    log_x = math.log(x)
+    power = x**-s
+    terms = []
+    for k in range(3):
+        p0, p1, p2 = float(k == 0), float(k == 1), float(k == 2)
+        total = 0.5 * power * log_x**k
+        scale = power
+        for order in range(1, 8):
+            c = 1.0 - s - order
+            p0, p1, p2 = c * p0 + p1, c * p1 + 2.0 * p2, c * p2
+            scale /= x
+            if order % 2:
+                total += (
+                    sign
+                    * _BERNOULLI_COEFFICIENTS[order // 2]
+                    * scale
+                    * (p0 + (p1 + p2 * log_x) * log_x)
+                )
+        terms.append(total)
+    return terms
+
+
+def _log_rank_moments(s: float, catalog_size: int) -> tuple[float, float, float]:
+    """``S_k(s) = Σ_{j=1}^{N} j^{-s} (log j)^k`` for ``k = 0, 1, 2``.
+
+    O(1) in ``N``: an exact head sum, then for ``N > J`` the tail
+    ``[J, N]`` as ``∫ e^{(1−s)u} u^k du`` over ``[log J, log N]`` by
+    Gauss–Legendre (no singularity at ``s = 1``) plus the end-point and
+    four Bernoulli terms of Euler–Maclaurin.
+    """
+    points, squares, weights, shifts = _moment_tables(catalog_size)
+    terms = weights * np.exp((shifts - s) * points)
+    s0, s1, s2 = float(terms.sum()), float(terms @ points), float(terms @ squares)
+    if catalog_size > _HEAD_RANKS:
+        lower = _endpoint_terms(s, float(_HEAD_RANKS), -1.0)
+        upper = _endpoint_terms(s, float(catalog_size), 1.0)
+        s0 += lower[0] + upper[0]
+        s1 += lower[1] + upper[1]
+        s2 += lower[2] + upper[2]
+    return s0, s1, s2
 
 
 def _minimize_fallback(
     mean_log_rank: float, catalog_size: int, lo: float, hi: float
 ) -> float:
     def negative_log_likelihood(s: float) -> float:
-        return s * mean_log_rank + math.log(harmonic_number(catalog_size, s))
+        return s * mean_log_rank + math.log(_log_rank_moments(s, catalog_size)[0])
 
     result = _scipy_optimize.minimize_scalar(
         negative_log_likelihood, bounds=(lo, hi), method="bounded",
@@ -91,60 +164,66 @@ def _solve_mle(
     Safeguarded Newton on the increasing score ``f'(s) = m − E_s[log j]``
     with the bracket ``bounds`` maintained as a bisection fallback per
     step; ``initial`` (e.g. the previous online estimate) seeds the
-    iteration.  Falls back to bounded scalar minimization for catalogs
-    above ``_MAX_EXACT_CATALOG`` or if Newton fails to settle within
-    ``_NEWTON_MAX_ITERATIONS``.
+    iteration.  Falls back to bounded scalar minimization if Newton
+    fails to settle within ``_NEWTON_MAX_ITERATIONS``.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
-    if catalog_size > _MAX_EXACT_CATALOG:
-        return _minimize_fallback(mean_log_rank, catalog_size, lo, hi)
-    log_ranks, log_ranks_sq = _log_rank_tables(catalog_size)
 
     def score(s: float) -> tuple[float, float]:
         """``(f'(s), f''(s))`` — score and observed information."""
-        weights = np.exp(-s * log_ranks)
-        total = float(weights.sum())
-        mean = float(weights @ log_ranks) / total
-        variance = float(weights @ log_ranks_sq) / total - mean * mean
-        return mean_log_rank - mean, variance
+        s0, s1, s2 = _log_rank_moments(s, catalog_size)
+        mean = s1 / s0
+        return mean_log_rank - mean, s2 / s0 - mean * mean
 
     def bound_mean(s: float) -> float:
         key = (catalog_size, s)
         cached = _BOUND_MEAN_CACHE.get(key)
         if cached is None:
-            weights = np.exp(-s * log_ranks)
-            cached = float(weights @ log_ranks) / float(weights.sum())
+            s0, s1, _ = _log_rank_moments(s, catalog_size)
+            cached = s1 / s0
             while len(_BOUND_MEAN_CACHE) >= _BOUND_MEAN_CACHE_MAX:
                 _BOUND_MEAN_CACHE.pop(next(iter(_BOUND_MEAN_CACHE)))
             _BOUND_MEAN_CACHE[key] = cached
         return cached
 
+    steps = 0
+    estimate: float | None = None
     if mean_log_rank - bound_mean(lo) >= 0.0:
-        return lo  # minimum at (or left of) the lower bound
-    if mean_log_rank - bound_mean(hi) <= 0.0:
-        return hi  # minimum at (or right of) the upper bound
-    x = lo + 0.5 * (hi - lo) if initial is None else min(max(initial, lo), hi)
-    for _ in range(_NEWTON_MAX_ITERATIONS):
-        derivative, curvature = score(x)
-        if derivative < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = derivative / curvature if curvature > 0.0 else math.inf
-        # Converged on step size *before* the bracket test: at the root
-        # the proposal can collide with a bracket edge that collapsed
-        # onto it, and the midpoint fallback would fling a converged
-        # iterate back into slow per-bit bisection.
-        if math.isfinite(step) and abs(step) <= _NEWTON_TOLERANCE:
-            return x - step
-        proposed = x - step
-        if not lo < proposed < hi:
-            proposed = 0.5 * (lo + hi)
-        moved = abs(proposed - x)
-        x = proposed
-        if moved <= _NEWTON_TOLERANCE or hi - lo <= _NEWTON_TOLERANCE:
-            return x
-    return _minimize_fallback(mean_log_rank, catalog_size, lo, hi)
+        estimate = lo  # minimum at (or left of) the lower bound
+    elif mean_log_rank - bound_mean(hi) <= 0.0:
+        estimate = hi  # minimum at (or right of) the upper bound
+    else:
+        x = lo + 0.5 * (hi - lo) if initial is None else min(max(initial, lo), hi)
+        for steps in range(1, _NEWTON_MAX_ITERATIONS + 1):
+            derivative, curvature = score(x)
+            if derivative < 0.0:
+                lo = x
+            else:
+                hi = x
+            step = derivative / curvature if curvature > 0.0 else math.inf
+            # Converged on step size *before* the bracket test: at the root
+            # the proposal can collide with a bracket edge that collapsed
+            # onto it, and the midpoint fallback would fling a converged
+            # iterate back into slow per-bit bisection.
+            if math.isfinite(step) and abs(step) <= _NEWTON_TOLERANCE:
+                estimate = x - step
+                break
+            proposed = x - step
+            if not lo < proposed < hi:
+                proposed = 0.5 * (lo + hi)
+            moved = abs(proposed - x)
+            x = proposed
+            if moved <= _NEWTON_TOLERANCE or hi - lo <= _NEWTON_TOLERANCE:
+                estimate = x
+                break
+    obs = get_session()
+    if obs.enabled:
+        obs.counter("adaptive.estimator.newton_steps").add(steps)
+        if estimate is None:
+            obs.counter("adaptive.estimator.fallbacks").add()
+    if estimate is None:
+        estimate = _minimize_fallback(mean_log_rank, catalog_size, lo, hi)
+    return estimate
 
 
 def estimate_exponent(
@@ -185,7 +264,7 @@ class ExponentEstimator:
     estimate follows popularity drift.  Each :meth:`estimate` is a warm
     safeguarded Newton solve seeded from the previous estimate (see
     :func:`_solve_mle`), so a small drift between ticks re-converges in
-    one or two O(N) score evaluations.
+    a few score evaluations, each O(1) in the catalog size.
 
     Parameters
     ----------

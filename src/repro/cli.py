@@ -44,11 +44,17 @@ def _shard_count(value: str):
     if value == "auto":
         return value
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer shard count or 'auto', got {value!r}"
         ) from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"shard count must be 0 (runs serially in-process), a positive "
+            f"integer or 'auto', got {count}"
+        )
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:

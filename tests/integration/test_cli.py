@@ -215,9 +215,12 @@ class TestScaleCommand:
         assert self.metric_lines(pooled) == self.metric_lines(serial)
 
     def test_negative_shard_count_is_exit_2(self, capsys):
-        code, _ = run_cli(*self.ARGS, "--shards", "-1")
-        assert code == 2
-        assert "shard" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*self.ARGS, "--shards", "-1")
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "shard" in err
+        assert "0 (runs serially in-process)" in err
 
 
 class TestCcnCommand:
